@@ -119,6 +119,7 @@ func (s *Server) handleDeliverPlan(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
+	defer releaseBody(body)
 	if err := s.acquire(r); err != nil {
 		s.writeErr(w, r, err)
 		return
@@ -261,6 +262,7 @@ func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, r, rerr)
 			return
 		}
+		defer releaseBody(body)
 		if err := s.acquire(r); err != nil {
 			s.writeErr(w, r, err)
 			return

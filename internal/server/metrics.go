@@ -336,9 +336,12 @@ func (m *metrics) render(w io.Writer) {
 				cum += s.h.counts[i].Load()
 				fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n", name, label, s.label, formatLE(ub), cum)
 			}
-			fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, s.label, s.h.count.Load())
+			// One load for both: a second one could see an Observe the
+			// first missed, and +Inf must equal _count.
+			count := s.h.count.Load()
+			fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, s.label, count)
 			fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, label, s.label, float64(s.h.sumNs.Load())/1e9)
-			fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, s.label, s.h.count.Load())
+			fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, s.label, count)
 		}
 	}
 	renderHistograms("wmxmld_request_seconds", "Request latency by route.", "route", lats)

@@ -44,7 +44,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httputil"
 	"runtime"
@@ -174,7 +173,9 @@ type Options struct {
 	// before parsing locally — a hook for fleet deployments to borrow a
 	// sibling node's parse. Returning ok=false falls through to the
 	// local parse. Runs inside the miss singleflight, so concurrent
-	// requests trigger it at most once per body.
+	// requests trigger it at most once per body. body is the request's
+	// pooled buffer, valid only for the duration of the call: a hook
+	// must copy whatever it keeps (the returned tree and index included).
 	CacheFill func(sum [sha256.Size]byte, body []byte) (*xmltree.Node, *index.Index, bool)
 }
 
@@ -590,23 +591,6 @@ func (s *Server) release() {
 	s.met.inflight.Add(-1)
 }
 
-// readBody drains the (size-capped) request body.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.met.tooLarge.Inc()
-		}
-		return nil, err
-	}
-	if len(body) == 0 {
-		return nil, errf(http.StatusBadRequest, "empty request body")
-	}
-	obs.FromContext(r.Context()).SetDocBytes(int64(len(body)))
-	return body, nil
-}
-
 // parseDoc parses an XML body under the depth guard, through the
 // byte-slice fast path (interned names, slab nodes) with strict-parser
 // fallback.
@@ -806,6 +790,7 @@ func (s *Server) handlePutOwner(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
+	defer releaseBody(body)
 	var o registry.Owner
 	if err := json.Unmarshal(body, &o); err != nil {
 		s.writeErr(w, r, errf(http.StatusBadRequest, "parse owner: %v", err))
@@ -948,6 +933,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
+	defer releaseBody(body)
 	if err := s.acquire(r); err != nil {
 		s.writeErr(w, r, err)
 		return
@@ -1051,7 +1037,9 @@ type detectResponse struct {
 // needed to be. With the cache disabled (CacheEntries < 0) there is
 // nothing to populate, so every request does its own work, as before.
 func (s *Server) suspectDoc(body []byte, tr *obs.Trace) (cachedDoc, bool, error) {
+	hsp := tr.StartSpan("hash")
 	sum := sha256.Sum256(body)
+	hsp.End()
 	csp := tr.StartSpan("cache")
 	cd, ok := s.cache.get(sum)
 	if ok {
@@ -1155,6 +1143,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
+	defer releaseBody(body)
 	if err := s.acquire(r); err != nil {
 		s.writeErr(w, r, err)
 		return
@@ -1272,7 +1261,9 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	if resp.Detected {
 		s.met.detected.Inc()
 	}
+	wsp := tr.StartSpan("respond")
 	writeJSON(w, http.StatusOK, resp)
+	wsp.End()
 }
 
 // verifyResponse reports schema and semantic validation of a document
@@ -1311,6 +1302,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
+	defer releaseBody(body)
 	if err := s.acquire(r); err != nil {
 		s.writeErr(w, r, err)
 		return
@@ -1400,6 +1392,7 @@ func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
+	defer releaseBody(body)
 	if err := s.acquire(r); err != nil {
 		s.writeErr(w, r, err)
 		return
@@ -1508,6 +1501,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, err)
 		return
 	}
+	defer releaseBody(body)
 	if err := s.acquire(r); err != nil {
 		s.writeErr(w, r, err)
 		return
@@ -1561,6 +1555,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	} else {
 		tr.SetVerdict("clean")
 	}
+	wsp := tr.StartSpan("respond")
 	writeJSON(w, http.StatusOK, traceResponse{
 		Owner:       ownerID,
 		Mode:        mode,
@@ -1574,6 +1569,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		CacheHit:    cacheHit,
 		ElapsedMS:   float64(time.Since(start).Microseconds()) / 1000,
 	})
+	wsp.End()
 }
 
 // handleListRecipients lists the owner's registered recipients — the

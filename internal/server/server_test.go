@@ -335,7 +335,7 @@ func TestServerVerify(t *testing.T) {
 // TestServerErrors covers the failure statuses: unknown owner, missing
 // receipts, malformed bodies, oversized bodies, depth bombs.
 func TestServerErrors(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxBodyBytes: 2048, MaxDepth: 20})
+	s, ts := newTestServer(t, Options{MaxBodyBytes: 2048, MaxDepth: 20})
 	registerOwner(t, ts.URL, "acme")
 
 	cases := []struct {
@@ -352,6 +352,7 @@ func TestServerErrors(t *testing.T) {
 		{"detect before any embed", "POST", "/v1/detect?owner=acme", []byte("<db></db>"), http.StatusConflict},
 		{"unknown receipt", "POST", "/v1/detect?owner=acme&receipt=r-nope", []byte("<db></db>"), http.StatusNotFound},
 		{"empty body", "POST", "/v1/embed?owner=acme", nil, http.StatusBadRequest},
+		{"empty detect body", "POST", "/v1/detect?owner=acme", nil, http.StatusBadRequest},
 		{"bad xml", "POST", "/v1/embed?owner=acme", []byte("<db><book>"), http.StatusBadRequest},
 		{"bad owner json", "POST", "/v1/owners", []byte("{"), http.StatusBadRequest},
 		{"owner missing key", "POST", "/v1/owners", []byte(`{"id":"x","mark":"m","dataset":"pubs"}`), http.StatusBadRequest},
@@ -367,14 +368,22 @@ func TestServerErrors(t *testing.T) {
 		}
 	}
 
-	// Oversized body: 413.
+	// Oversized body: 413 in the standard envelope, counted.
 	big := make([]byte, 4096)
 	for i := range big {
 		big[i] = 'x'
 	}
-	code, _, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/embed?owner=acme", big)
+	tooLarge := s.met.tooLarge.Value()
+	code, body, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/detect?owner=acme", big)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: code = %d want 413", code)
+	}
+	var env map[string]string
+	if err := json.Unmarshal(body, &env); err != nil || env["error"] == "" || len(env["request_id"]) != 32 {
+		t.Errorf("oversized body: want the {error, request_id} envelope, got %s (%v)", body, err)
+	}
+	if got := s.met.tooLarge.Value(); got != tooLarge+1 {
+		t.Errorf("too-large counter went %d -> %d, want +1", tooLarge, got)
 	}
 
 	// Depth bomb: rejected by the MaxDepth parse guard.
@@ -386,7 +395,7 @@ func TestServerErrors(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		sb.WriteString("</a>")
 	}
-	code, body, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/verify?owner=acme", []byte(sb.String()))
+	code, body, _ = doAs(t, "key-acme", "POST", ts.URL+"/v1/verify?owner=acme", []byte(sb.String()))
 	if code != http.StatusBadRequest {
 		t.Errorf("depth bomb: code = %d (%s), want 400", code, body)
 	}
