@@ -5,7 +5,7 @@ package main
 // is aggregate cache capacity, not CPU count: each node's document
 // cache is deliberately small relative to the tenant count (run the
 // daemons with --cache well below --fleet-owners), so a single node
-// cycling through every tenant's suspect thrashes its LRU and reparses
+// cycling through every tenant's suspect thrashes its cache and reparses
 // almost every request, while the same workload consistent-hash-routed
 // across the fleet gives each node a resident working set and serves
 // warm hits. The sweep reports both phases plus the single-owner warm
@@ -96,14 +96,19 @@ func runFleet(nodesCSV, baseline string, ownerCount, requests, concurrency int,
 	fmt.Fprintf(os.Stderr, "wmload: fleet sweep: %d nodes, %d owners, %d requests/phase, %d workers\n",
 		len(nodes), ownerCount, requests, concurrency)
 
-	// One round-robin warmup pass per phase target, then the measured
+	// Two round-robin warmup passes per phase target, then the measured
 	// phase: every request is a detect of tenant (i mod owners)'s own
 	// suspect. The baseline sees every tenant through one cache; the
-	// fleet phase routes each tenant to its home node.
+	// fleet phase routes each tenant to its home node. Two passes,
+	// because the document cache is scan-resistant: a body seen once
+	// waits in a probation segment of cache/8 entries, and it is kept
+	// for good only when it is seen again.
 	phase := func(pick func(t *fleetTenant) (url string, body []byte)) (time.Duration, []time.Duration, float64, int) {
-		for _, t := range tenants {
-			url, body := pick(t)
-			post(client, t.key, url+"/v1/detect?owner="+t.id, body)
+		for pass := 0; pass < 2; pass++ {
+			for _, t := range tenants {
+				url, body := pick(t)
+				post(client, t.key, url+"/v1/detect?owner="+t.id, body)
+			}
 		}
 		lat := make([]time.Duration, requests)
 		var hits, failed atomic.Int64

@@ -156,6 +156,7 @@ type metrics struct {
 	cacheCoalesced counter // cold requests that waited on another's parse (singleflight)
 	cacheFill      counter // cache misses satisfied by the peer-fill hook
 	cacheEvict     counter
+	cachePromote   counter // entries moved into the protected segment
 	cacheSize      gauge
 	cacheBytes     gauge
 	fleetProxied   counter // requests routed to their owner's home node
@@ -358,6 +359,7 @@ func (m *metrics) render(w io.Writer) {
 		{"wmxmld_doc_cache_coalesced_total", "Cold requests that shared another request's in-flight parse (singleflight).", m.cacheCoalesced.Value()},
 		{"wmxmld_doc_cache_peer_fills_total", "Cache misses satisfied by the peer-fill hook instead of a local parse.", m.cacheFill.Value()},
 		{"wmxmld_doc_cache_evictions_total", "Suspect-document cache evictions.", m.cacheEvict.Value()},
+		{"wmxmld_doc_cache_promotions_total", "Suspect documents moved into the protected segment (a hit in probation, or a re-parse of a recently evicted body).", m.cachePromote.Value()},
 		{"wmxmld_fleet_proxied_total", "Requests proxied to the owner's home node by consistent-hash routing.", m.fleetProxied.Value()},
 		{"wmxmld_plan_cache_hits_total", "Decode-plan cache hits (query compilation skipped).", m.planCacheHits.Value()},
 		{"wmxmld_plan_cache_misses_total", "Decode-plan cache misses (plan compiled).", m.planCacheMiss.Value()},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"wmxml/internal/cluster"
@@ -150,23 +151,17 @@ func TestFleetHopGuard(t *testing.T) {
 	}
 }
 
-// TestFleetPeerDown: a dead home node surfaces as a JSON 502 from the
-// entry node, not a hung request or an opaque transport error.
+// TestFleetPeerDown: a dead home node surfaces as a 502 from the entry
+// node, not a hung request or an opaque transport error. The body is the
+// standard {error, request_id} envelope and names neither the peer
+// address nor the dial error.
 func TestFleetPeerDown(t *testing.T) {
-	servers, nodes := newFleet(t, 2, Options{})
-	remote := ownerHomedOn(t, nodes, nodes[1])
-	registerOwner(t, nodes[1], remote)
-	_ = servers
-
-	// Kill node 1's listener by pointing its handler slot at a closed
-	// server: simplest is to aim at an owner homed on a node we shut.
-	// httptest servers are cleaned up at test end, so instead build a
-	// 2-node fleet where one address never listens.
-	reg := registry.NewMemory()
+	dead := httptest.NewServer(nil)
+	deadURL := dead.URL
+	dead.Close() // the peer's listener is gone: every dial is refused
 	live := httptest.NewServer(nil)
 	defer live.Close()
-	deadURL := "http://127.0.0.1:1" // reserved port, nothing listens
-	s, err := New(Options{Registry: reg, FleetNodes: []string{live.URL, deadURL}, FleetSelf: live.URL})
+	s, err := New(Options{Registry: registry.NewMemory(), FleetNodes: []string{live.URL, deadURL}, FleetSelf: live.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,15 +169,19 @@ func TestFleetPeerDown(t *testing.T) {
 	live.Config.Handler = s.Handler()
 
 	downOwner := ownerHomedOn(t, []string{live.URL, deadURL}, deadURL)
-	code, body, _ := doAs(t, "k", "GET", live.URL+"/v1/owners/"+downOwner+"/receipts", nil)
+	code, body, hdr := doAs(t, "k", "GET", live.URL+"/v1/owners/"+downOwner+"/receipts", nil)
 	if code != http.StatusBadGateway {
 		t.Fatalf("request homed on a dead peer = %d %s, want 502", code, body)
 	}
-	var e struct {
-		Error string `json:"error"`
+	var env map[string]string
+	if err := json.Unmarshal(body, &env); err != nil || env["error"] == "" || len(env) != 2 {
+		t.Fatalf("502 body is not the {error, request_id} envelope: %s", body)
 	}
-	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-		t.Errorf("502 body is not the JSON error envelope: %s", body)
+	if id := env["request_id"]; len(id) != 32 || id != hdr.Get("X-Request-Id") {
+		t.Errorf("502 request_id %q, want the 32-hex X-Request-Id %q", id, hdr.Get("X-Request-Id"))
+	}
+	if host := strings.TrimPrefix(deadURL, "http://"); strings.Contains(string(body), host) {
+		t.Errorf("502 body leaks the peer address %s: %s", host, body)
 	}
 }
 

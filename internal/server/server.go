@@ -90,10 +90,14 @@ type Options struct {
 	StreamChunkSize int
 	// MaxDepth caps XML nesting on parse (0 = xmltree.DefaultMaxDepth).
 	MaxDepth int
-	// CacheEntries sizes the suspect-document LRU (0 = 128; negative
-	// disables caching).
+	// CacheEntries sizes the suspect-document cache (0 = 128; negative
+	// disables caching). The cache is 2Q (cache.go): new bodies enter a
+	// probation segment of 1/probationShare of the entries (at least
+	// one), a second request promotes them to the protected rest, and
+	// a ghost set of ghostShare × CacheEntries hashes remembers bodies
+	// recently evicted from probation.
 	CacheEntries int
-	// CacheBytes caps the suspect-document LRU's total weight, where
+	// CacheBytes caps the suspect-document cache's total weight, where
 	// each entry weighs its source body length (a proxy for tree+index
 	// footprint). 0 = 256 MiB; negative removes the byte bound (entry
 	// count still applies). A body larger than the cap is served but
@@ -1041,11 +1045,9 @@ func (s *Server) suspectDoc(body []byte, tr *obs.Trace) (cachedDoc, bool, error)
 	sum := sha256.Sum256(body)
 	hsp.End()
 	csp := tr.StartSpan("cache")
-	cd, ok := s.cache.get(sum)
-	if ok {
+	if cd, ok := s.cacheGet(sum); ok {
 		csp.EndNote("hit")
 		tr.SetCacheHit(true)
-		s.met.cacheHits.Inc()
 		return cd, true, nil
 	}
 	if s.opts.CacheEntries == 0 {
@@ -1066,11 +1068,10 @@ func (s *Server) suspectDoc(body []byte, tr *obs.Trace) (cachedDoc, bool, error)
 	}
 	// Leader double-check: between our miss and winning the flight, a
 	// previous leader may have completed and populated the cache.
-	if cd, ok := s.cache.get(sum); ok {
+	if cd, ok := s.cacheGet(sum); ok {
 		s.cache.complete(sum, call, cd, nil)
 		csp.EndNote("hit")
 		tr.SetCacheHit(true)
-		s.met.cacheHits.Inc()
 		return cd, true, nil
 	}
 	csp.EndNote("miss")
@@ -1105,10 +1106,26 @@ func (s *Server) fillDoc(sum [sha256.Size]byte, body []byte, tr *obs.Trace) (cac
 	return cd, false, nil
 }
 
+// cacheGet looks a body hash up and counts the hit and any promotion.
+func (s *Server) cacheGet(sum [sha256.Size]byte) (cachedDoc, bool) {
+	cd, ok, promoted := s.cache.get(sum)
+	if ok {
+		s.met.cacheHits.Inc()
+	}
+	if promoted {
+		s.met.cachePromote.Inc()
+	}
+	return cd, ok
+}
+
 // cachePut inserts a parsed document and keeps the cache gauges honest.
 func (s *Server) cachePut(sum [sha256.Size]byte, cd cachedDoc, weight int64) {
-	if ev := s.cache.put(sum, cd, weight); ev > 0 {
+	ev, promoted := s.cache.put(sum, cd, weight)
+	if ev > 0 {
 		s.met.cacheEvict.Add(uint64(ev))
+	}
+	if promoted {
+		s.met.cachePromote.Inc()
 	}
 	s.met.cacheSize.Set(int64(s.cache.len()))
 	s.met.cacheBytes.Set(s.cache.weight())
@@ -1155,15 +1172,10 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Assemble the detection jobs: one per candidate receipt, or a
-	// single blind job.
-	var jobs []pipeline.DetectJob
-	var ids []string
-	if blind {
-		jobs = []pipeline.DetectJob{{Job: pipeline.Job{ID: "blind", Doc: cd.doc}, Index: cd.ix}}
-		ids = []string{""}
-	} else {
-		var recs []registry.Receipt
+	// The candidates: every receipt to sweep, or none for a single
+	// blind job.
+	var recs []registry.Receipt
+	if !blind {
 		rsp := tr.StartSpan("registry")
 		if wantReceipt != "" {
 			rec, err := s.reg.GetReceipt(ownerID, wantReceipt)
@@ -1187,29 +1199,37 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		rsp.End()
-		// Newest first: the latest embedding is the likeliest source.
-		// Each job carries its receipt's compiled decode plan from the
-		// plan cache; a nil plan (compile error) falls back to the
-		// uncached path so the error surfaces exactly as before.
-		for i := len(recs) - 1; i >= 0; i-- {
-			jobs = append(jobs, pipeline.DetectJob{
-				Job:     pipeline.Job{ID: recs[i].ID, Doc: cd.doc},
-				Records: recs[i].Records,
-				Index:   cd.ix,
-				Plan:    s.detectPlanFor(rt, ownerID, recs[i].ID, recs[i].Records, tr),
-			})
-			ids = append(ids, recs[i].ID)
-		}
 	}
 
 	resp := detectResponse{Owner: ownerID, Mode: "receipts", CacheHit: cacheHit}
+	jobs := len(recs)
 	if blind {
 		resp.Mode = "blind"
+		jobs = 1
 	}
-	best := -1
 	var bestRes *core.DetectResult
 	var lastErr error
-	for i, job := range jobs {
+	for i := 0; i < jobs; i++ {
+		var job pipeline.DetectJob
+		id := ""
+		if blind {
+			job = pipeline.DetectJob{Job: pipeline.Job{ID: "blind", Doc: cd.doc}, Index: cd.ix}
+		} else {
+			// Newest first: the latest embedding is the likeliest
+			// source. The receipt's decode plan comes from the plan
+			// cache only when the sweep reaches it, since the sweep
+			// stops at the first detected receipt; a nil plan (compile
+			// error) falls back to the uncached path so the error
+			// surfaces exactly as before.
+			rec := recs[len(recs)-1-i]
+			id = rec.ID
+			job = pipeline.DetectJob{
+				Job:     pipeline.Job{ID: id, Doc: cd.doc},
+				Records: rec.Records,
+				Index:   cd.ix,
+				Plan:    s.detectPlanFor(rt, ownerID, id, rec.Records, tr),
+			}
+		}
 		outs, err := rt.eng.DetectAll(r.Context(), []pipeline.DetectJob{job})
 		if err != nil {
 			s.writeErr(w, r, errf(499, "cancelled: %v", err))
@@ -1228,11 +1248,11 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		// coverage floor, and a strict > comparison would let that stale
 		// non-detection shadow the true receipt.
 		if out.Result.Detected {
-			bestRes, best = out.Result, i
+			bestRes, resp.Receipt = out.Result, id
 			break
 		}
 		if bestRes == nil || out.Result.MatchFraction > bestRes.MatchFraction {
-			bestRes, best = out.Result, i
+			bestRes, resp.Receipt = out.Result, id
 		}
 	}
 	if bestRes == nil {
@@ -1247,7 +1267,6 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	} else {
 		tr.SetVerdict("clean")
 	}
-	resp.Receipt = ids[best]
 	resp.Detected = bestRes.Detected
 	resp.MatchFraction = bestRes.MatchFraction
 	resp.Coverage = bestRes.Coverage

@@ -180,6 +180,7 @@ func TestServerEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"wmxmld_doc_cache_hits_total 2",
 		"wmxmld_doc_cache_misses_total 2",
+		"wmxmld_doc_cache_promotions_total 1", // the repeat marked detect
 		"wmxmld_embeds_total 1",
 		"wmxmld_detects_total 4",
 		`wmxmld_requests_total{route="/v1/detect",code="200"} 4`,
@@ -188,6 +189,47 @@ func TestServerEndToEnd(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestDetectSweepCompilesLazily: the receipt sweep fetches each decode
+// plan only when it reaches that receipt. On a fresh server with four
+// receipts, detecting the newest copy compiles one plan and tries one
+// receipt; a clean original sweeps, and so compiles, all four.
+func TestDetectSweepCompilesLazily(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	registerOwner(t, ts.URL, "acme")
+	var orig, marked []byte
+	for i := 1; i <= 4; i++ {
+		orig = pubsXML(t, 80, int64(i))
+		var code int
+		code, marked, _ = doAs(t, "key-acme", "POST", ts.URL+fmt.Sprintf("/v1/embed?owner=acme&doc=d%d.xml", i), orig)
+		if code != http.StatusOK {
+			t.Fatalf("embed %d: %d %s", i, code, marked)
+		}
+	}
+	var det struct {
+		Detected      bool `json:"detected"`
+		ReceiptsTried int  `json:"receipts_tried"`
+	}
+	detect := func(doc []byte) {
+		t.Helper()
+		code, body, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/detect?owner=acme", doc)
+		if code != http.StatusOK {
+			t.Fatalf("detect: %d %s", code, body)
+		}
+		if err := json.Unmarshal(body, &det); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	detect(marked)
+	if _, misses, _ := s.PlanCacheStats(); !det.Detected || det.ReceiptsTried != 1 || misses != 1 {
+		t.Fatalf("newest copy: detected=%v receipts_tried=%d plan misses=%d, want true, 1, 1", det.Detected, det.ReceiptsTried, misses)
+	}
+	detect(orig)
+	if _, misses, _ := s.PlanCacheStats(); det.Detected || det.ReceiptsTried != 4 || misses != 4 {
+		t.Fatalf("clean original: detected=%v receipts_tried=%d plan misses=%d, want false, 4, 4", det.Detected, det.ReceiptsTried, misses)
 	}
 }
 
